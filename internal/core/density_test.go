@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"multiverse/internal/cycles"
 	"multiverse/internal/faults"
@@ -22,12 +23,15 @@ func holdFn(arrived chan<- struct{}, gate <-chan struct{}) func(Env) uint64 {
 
 // TestGroupMapLeakRegression is the unbounded-growth fix pinned as a
 // regression: spawning and joining 10k groups must leave the registry
-// empty and keep it from accumulating along the way. Before this PR,
-// exited groups stayed in System.groups forever.
+// empty and keep it from accumulating along the way. Exited groups used
+// to stay in System.groups forever, and their routers' ROS mutation
+// hooks on the Proc, so the hook count must return to its pre-spawn
+// value too.
 func TestGroupMapLeakRegression(t *testing.T) {
-	sys := buildTestSystem(t, Options{AppName: "leak", WarmPool: 2})
+	sys := buildTestSystem(t, Options{AppName: "leak", WarmPool: 2, Router: true})
 	const total = 10_000
 	clk := cycles.NewClock(0)
+	hooks := sys.Proc.MutationHooks()
 	for i := 0; i < total; i++ {
 		g, err := sys.SpawnGroup(clk, func(Env) uint64 { return 0 })
 		if err != nil {
@@ -40,10 +44,16 @@ func TestGroupMapLeakRegression(t *testing.T) {
 			if n := sys.GroupTableSize(); n > 1 {
 				t.Fatalf("after %d spawn+join cycles the registry holds %d entries", i+1, n)
 			}
+			if n := sys.Proc.MutationHooks(); n != hooks {
+				t.Fatalf("after %d spawn+join cycles the Proc holds %d mutation hooks, want %d", i+1, n, hooks)
+			}
 		}
 	}
 	if n := sys.GroupTableSize(); n != 0 {
 		t.Errorf("registry holds %d entries after all joins, want 0", n)
+	}
+	if n := sys.Proc.MutationHooks(); n != hooks {
+		t.Errorf("Proc holds %d mutation hooks after all joins, want %d", n, hooks)
 	}
 	if live := sys.LiveGroups(); live != 0 {
 		t.Errorf("live-group count = %d after all joins, want 0", live)
@@ -52,9 +62,10 @@ func TestGroupMapLeakRegression(t *testing.T) {
 
 // TestSpawnFailureLeavesNoResidue pins the other leak: a spawn that fails
 // (AeroKernel halted) must unregister the stillborn group and drop its
-// pending-spawn entry instead of leaking both.
+// pending-spawn entry and its router's mutation hook instead of leaking
+// them.
 func TestSpawnFailureLeavesNoResidue(t *testing.T) {
-	sys := buildTestSystem(t, Options{AppName: "residue"})
+	sys := buildTestSystem(t, Options{AppName: "residue", Router: true})
 	sys.AK.Halt()
 	if _, err := sys.SpawnGroup(cycles.NewClock(0), func(Env) uint64 { return 0 }); err == nil {
 		t.Fatal("spawn on a halted kernel succeeded")
@@ -65,16 +76,145 @@ func TestSpawnFailureLeavesNoResidue(t *testing.T) {
 	if n := sys.pendingSpawns.size(); n != 0 {
 		t.Errorf("failed spawn left %d pending-spawn entries", n)
 	}
+	if n := sys.Proc.MutationHooks(); n != 0 {
+		t.Errorf("failed spawn left %d mutation hooks", n)
+	}
 	if live := sys.LiveGroups(); live != 0 {
 		t.Errorf("failed spawn left live-group count %d", live)
 	}
 }
 
+// TestMutationHookCrossGroupInvalidation pins what the per-group hooks
+// are for: a write forwarded by one live group still drops another live
+// group's cached stat and fstat results, so the second group reads the
+// new size instead of a stale cache entry.
+func TestMutationHookCrossGroupInvalidation(t *testing.T) {
+	sys := buildTestSystem(t, Options{AppName: "inval", Router: true})
+	if err := sys.Kernel.FS().WriteFile("/f", []byte("12345")); err != nil {
+		t.Fatal(err)
+	}
+	hits := sys.Metrics().Counter("router.cache_hits")
+	hooks := sys.Proc.MutationHooks()
+
+	sizes := func(env Env, fd uint64) (stat, fstat uint64) {
+		for i, call := range []linuxabi.Call{
+			{Num: linuxabi.SysStat, Path: "/f"},
+			{Num: linuxabi.SysFstat, Args: [6]uint64{fd}},
+		} {
+			res := env.Syscall(call)
+			st, ok := linuxabi.DecodeStat(res.Data)
+			if !res.Ok() || !ok {
+				t.Errorf("%v: %v", call.Num, res.Err)
+			}
+			if i == 0 {
+				stat = st.Size
+			} else {
+				fstat = st.Size
+			}
+		}
+		return stat, fstat
+	}
+
+	fdc, cached, wrote := make(chan uint64, 1), make(chan struct{}), make(chan struct{})
+	counted := make(chan struct{}) // holds the writer until both hooks are counted
+	reader, err := sys.SpawnGroup(sys.Main.Clock, func(env Env) uint64 {
+		res := env.Syscall(linuxabi.Call{Num: linuxabi.SysOpen, Path: "/f",
+			Args: [6]uint64{0, linuxabi.ORdwr | linuxabi.OAppend}})
+		if !res.Ok() {
+			t.Errorf("open: %v", res.Err)
+		}
+		fd := res.Ret
+		sizes(env, fd)
+		before := hits.Value()
+		if s, fs := sizes(env, fd); s != 5 || fs != 5 {
+			t.Errorf("cached stat/fstat sizes = %d/%d, want 5/5", s, fs)
+		}
+		if got := hits.Value() - before; got != 2 {
+			t.Errorf("repeat stat+fstat took %d cache hits, want 2", got)
+		}
+		fdc <- fd
+		close(cached)
+		<-wrote
+		if s, fs := sizes(env, fd); s != 8 || fs != 8 {
+			t.Errorf("stat/fstat sizes after another group's write = %d/%d, want 8/8", s, fs)
+		}
+		return 0
+	})
+	if err != nil {
+		t.Fatalf("spawn reader: %v", err)
+	}
+	writer, err := sys.SpawnGroup(sys.Main.Clock, func(env Env) uint64 {
+		<-counted
+		<-cached
+		res := env.Syscall(linuxabi.Call{Num: linuxabi.SysWrite,
+			Args: [6]uint64{<-fdc}, Data: []byte("abc")})
+		if !res.Ok() {
+			t.Errorf("write: %v", res.Err)
+		}
+		close(wrote)
+		return 0
+	})
+	if err != nil {
+		t.Fatalf("spawn writer: %v", err)
+	}
+	if n := sys.Proc.MutationHooks(); n != hooks+2 {
+		t.Errorf("two live routed groups hold %d mutation hooks, want %d", n, hooks+2)
+	}
+	close(counted)
+	for _, g := range []*ExecutionGroup{writer, reader} {
+		if _, err := g.Join(sys.Main); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	if n := sys.Proc.MutationHooks(); n != hooks {
+		t.Errorf("mutation hooks after both joins = %d, want %d", n, hooks)
+	}
+}
+
+// TestExitSignalDrainSerialized forces the lost-exit interleaving: one
+// exit-signal handler has taken group B's id off the pending channel and
+// not yet set B's bit when B's own handler runs and finds the channel
+// empty. B's handler must not return until the bit is set, or B's
+// partner would read it clear at the exit notification and wait forever.
+func TestExitSignalDrainSerialized(t *testing.T) {
+	sys := buildTestSystem(t, Options{AppName: "exitsig"})
+	b := &ExecutionGroup{id: ^uint64(0)}
+	sys.groups.store(b.id, b)
+	defer sys.groups.delete(b.id)
+
+	// Handler A, mid-drain.
+	sys.exitDrainMu.Lock()
+	sys.exitPending <- b.id
+	gid := <-sys.exitPending
+
+	returned := make(chan bool, 1)
+	go func() {
+		sys.hrtExitSignal(int(linuxabi.SIGCHLD))
+		returned <- b.exitRequested.Load()
+	}()
+	// On a correct drain B's handler cannot return here, whatever the
+	// timing; the wait only gives a broken one the chance to.
+	select {
+	case <-returned:
+		t.Fatal("B's handler returned while another handler held B's id with the bit clear")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if g, ok := sys.groups.load(gid); ok {
+		g.exitRequested.Store(true)
+	}
+	sys.exitDrainMu.Unlock()
+	if !<-returned {
+		t.Error("B's handler returned with B's exit bit clear")
+	}
+}
+
 // TestDensityConcurrentSpawnJoin drives concurrent SpawnGroup/WaitExit
 // interleavings across the sharded registries from many host goroutines —
-// the go test -race coverage of the sharding refactor.
+// the go test -race coverage of the sharding refactor. Each group's write
+// fans out to the live groups' mutation hooks while other groups register
+// and drop theirs.
 func TestDensityConcurrentSpawnJoin(t *testing.T) {
-	sys := buildTestSystem(t, Options{AppName: "dense", WarmPool: 8})
+	sys := buildTestSystem(t, Options{AppName: "dense", WarmPool: 8, Router: true})
 	const spawners = 8
 	const perSpawner = 16
 	var wg sync.WaitGroup
@@ -87,6 +227,10 @@ func TestDensityConcurrentSpawnJoin(t *testing.T) {
 			for k := 0; k < perSpawner; k++ {
 				g, err := sys.SpawnGroup(clk, func(env Env) uint64 {
 					res := env.Syscall(linuxabi.Call{Num: linuxabi.SysGetpid})
+					if !res.Ok() {
+						return 1
+					}
+					res = env.Syscall(linuxabi.Call{Num: linuxabi.SysWrite, Args: [6]uint64{1}, Data: []byte("x")})
 					if !res.Ok() {
 						return 1
 					}
@@ -116,6 +260,9 @@ func TestDensityConcurrentSpawnJoin(t *testing.T) {
 	}
 	if n := sys.GroupTableSize(); n != 0 {
 		t.Errorf("registry holds %d entries after all joins, want 0", n)
+	}
+	if n := sys.Proc.MutationHooks(); n != 0 {
+		t.Errorf("Proc holds %d mutation hooks after all joins, want 0", n)
 	}
 }
 

@@ -298,6 +298,52 @@ func TestGridDrainNode(t *testing.T) {
 	}
 }
 
+// TestGridMigrateMovesMutationHook pins the router hook's lifetime across
+// a move: after a migration the source node's Proc holds none of the
+// group's mutation hooks and the target's holds exactly one, and the
+// target's drops it when the group exits.
+func TestGridMigrateMovesMutationHook(t *testing.T) {
+	gr := buildTestGrid(t, 2, Options{AppName: "grid", Router: true})
+	src, dst := gr.Node(0).Proc, gr.Node(1).Proc
+	src0, dst0 := src.MutationHooks(), dst.MutationHooks()
+
+	start, hold := make(chan struct{}), make(chan struct{})
+	g, err := gr.SpawnGroupOn(0, func(env Env) uint64 {
+		<-start
+		env.Syscall(linuxabi.Call{Num: linuxabi.SysGetpid}) // the migration fires here
+		<-hold
+		env.Syscall(linuxabi.Call{Num: linuxabi.SysWrite, Args: [6]uint64{1}, Data: []byte("after")})
+		return 0
+	})
+	if err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	if n := src.MutationHooks(); n != src0+1 {
+		t.Fatalf("source hooks after spawn = %d, want %d", n, src0+1)
+	}
+	res, err := gr.ArmMigration(g, 1, 0)
+	if err != nil {
+		t.Fatalf("ArmMigration: %v", err)
+	}
+	close(start)
+	if err := <-res; err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if n := src.MutationHooks(); n != src0 {
+		t.Errorf("source hooks after migration = %d, want %d", n, src0)
+	}
+	if n := dst.MutationHooks(); n != dst0+1 {
+		t.Errorf("target hooks after migration = %d, want %d", n, dst0+1)
+	}
+	close(hold)
+	if _, err := g.Join(gr.Node(1).Main); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if n := dst.MutationHooks(); n != dst0 {
+		t.Errorf("target hooks after exit = %d, want %d", n, dst0)
+	}
+}
+
 // TestGridMigrateWedge pins the migration wedge path: a group that
 // stops crossing the boundary can never complete an armed migration,
 // so the caller gets ErrGroupWedged within the deadline, with a

@@ -74,8 +74,12 @@ type ExecutionGroup struct {
 	poller  *ros.Thread
 
 	// router is the group's adaptive boundary-crossing fast path
-	// (Options.Router).
+	// (Options.Router). unhook unregisters its ROS mutation hook from the
+	// hosting Proc: the hook lives exactly as long as the group on its
+	// current node, or every mutating call would keep fanning out to
+	// routers of groups long gone.
 	router *hvm.SyscallRouter
+	unhook func()
 
 	created  chan struct{}
 	exitCode atomic.Uint64
@@ -338,6 +342,7 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 		if sched != nil {
 			sched.CancelEntry(queue)
 		}
+		g.unbindRouterHooks()
 		s.noteGroupDead()
 		g.retire()
 		return nil, fmt.Errorf("multiverse: HRT thread creation failed")
@@ -354,10 +359,12 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 // kernel's mutation events feed the cache-invalidation paths, and the
 // promotion/exitless hooks capture the host's Proc and HVM. Called at
 // spawn and again by a migration restore — after a move the hooks must
-// create pollers and channels on the target node.
+// create pollers and channels on the target node, and the mutation hook
+// moves from the source Proc to the target's.
 func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.CoreID) {
 	r := g.router
-	s.Proc.AddMutationHook(func(ev ros.MutationEvent) {
+	g.unbindRouterHooks()
+	g.unhook = s.Proc.AddMutationHook(func(ev ros.MutationEvent) {
 		switch ev.Kind {
 		case ros.MutFD:
 			r.InvalidateFD(ev.FD)
@@ -422,6 +429,14 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 				s.HVM.TeardownExitless(clk, x)
 			},
 		)
+	}
+}
+
+// unbindRouterHooks drops the group's mutation hook, if registered.
+func (g *ExecutionGroup) unbindRouterHooks() {
+	if g.unhook != nil {
+		g.unhook()
+		g.unhook = nil
 	}
 }
 
@@ -625,6 +640,7 @@ func (g *ExecutionGroup) serve(pt *ros.Thread) {
 func (g *ExecutionGroup) cleanup(pt *ros.Thread) {
 	if g.router != nil {
 		g.router.Shutdown() // closes a promoted channel; its poller exits
+		g.unbindRouterHooks()
 	}
 	if g.syncSvc != nil {
 		g.syncSvc.Close() // the polling thread's Serve returns false

@@ -158,6 +158,7 @@ type System struct {
 
 	mu          sync.Mutex
 	exitPending chan uint64 // group ids whose HRT thread exited
+	exitDrainMu sync.Mutex  // serializes hrtExitSignal's drain of exitPending
 	exitHooks   []func()
 	hotspots    *HotspotProfile
 
@@ -421,7 +422,16 @@ func (s *System) runExitHooks() {
 // so draining here guarantees each group's own bit is set by the time
 // its partner services the exit notification — the partner's exit time
 // does not depend on how concurrent exits interleave.
+//
+// The drain is serialized. Unserialized, handler A could take group B's
+// id off the channel and not yet set B's bit while B's own handler found
+// the channel empty and returned; B's partner would then read the bit
+// clear at the exit notification and go back to waiting forever. Under
+// the lock, a handler returns only once every id pushed before it has
+// its bit set.
 func (s *System) hrtExitSignal(sig int) {
+	s.exitDrainMu.Lock()
+	defer s.exitDrainMu.Unlock()
 	for {
 		select {
 		case gid := <-s.exitPending:

@@ -192,9 +192,14 @@ type EventChannel struct {
 	// the whole retransmission window — survives the move, and the
 	// restored partner on the target node keeps serving it. halt is nil
 	// on non-grid groups, so the ordinary receive path stays a plain
-	// channel receive.
-	hltMu sync.Mutex
-	halt  chan struct{}
+	// channel receive. halted marks halt closed: the interrupt stays
+	// raised until the next arm, so a partner that reaches Recv only
+	// after the interrupt (it was still completing the envelope the
+	// quiesced HRT thread just got back) stops too instead of blocking
+	// forever.
+	hltMu  sync.Mutex
+	halt   chan struct{}
+	halted bool
 }
 
 // NewEventChannel creates the channel for an execution group whose HRT
@@ -263,8 +268,9 @@ func (c *EventChannel) ID() uint64 { return c.id }
 // restored group re-arms it before its new partner starts serving.
 func (c *EventChannel) ArmPartnerInterrupt() {
 	c.hltMu.Lock()
-	if c.halt == nil {
+	if c.halt == nil || c.halted {
 		c.halt = make(chan struct{})
+		c.halted = false
 	}
 	c.hltMu.Unlock()
 }
@@ -278,12 +284,11 @@ func (c *EventChannel) ArmPartnerInterrupt() {
 // pending-vs-halt select below can never race a live delivery.
 func (c *EventChannel) InterruptPartner() {
 	c.hltMu.Lock()
-	h := c.halt
-	c.halt = nil
-	c.hltMu.Unlock()
-	if h != nil {
-		close(h)
+	if c.halt != nil && !c.halted {
+		close(c.halt)
+		c.halted = true
 	}
+	c.hltMu.Unlock()
 }
 
 func (c *EventChannel) haltChan() chan struct{} {

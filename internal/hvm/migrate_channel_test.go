@@ -79,6 +79,39 @@ func TestChannelInterruptReplaysInflight(t *testing.T) {
 	<-done
 }
 
+// TestMigrateInterruptBeforeRecv pins that the partner interrupt stays
+// raised until the next arm: a partner that reaches Recv only after the
+// grid interrupted it — it was still completing the envelope the
+// quiesced HRT thread just got back — must stop, not block forever, and
+// a re-armed channel must deliver again.
+func TestMigrateInterruptBeforeRecv(t *testing.T) {
+	h := newFaultedHVM(t, faults.Plan{Seed: 9}) // armed, all rates zero
+	c := h.NewEventChannel(1, 0)
+	c.ArmPartnerInterrupt()
+	c.InterruptPartner()
+
+	got := make(chan *Envelope, 1)
+	go func() { got <- c.Recv(cycles.NewClock(0)) }()
+	select {
+	case env := <-got:
+		if env != nil {
+			t.Fatal("interrupted Recv delivered an envelope")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recv called after the interrupt blocked instead of returning nil")
+	}
+
+	c.ArmPartnerInterrupt()
+	done := serveChannel(c)
+	r, err := c.Forward(cycles.NewClock(0), &Envelope{Kind: EvSyscall,
+		Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}})
+	if err != nil || r.Res.Ret != 5 {
+		t.Fatalf("Forward after re-arm = %d, %v; want 5, nil", r.Res.Ret, err)
+	}
+	c.Close()
+	<-done
+}
+
 // TestChannelRetransmitBoundRejects pins the bounded retransmission
 // window: with the duplicate rate forced on and a bound of one, the
 // first forward's duplicate occupies the window, the second forward's

@@ -104,7 +104,6 @@ type Process struct {
 	cwd        string
 	sigactions map[linuxabi.Signal]sigaction
 	handlers   map[uint64]SignalHandlerFunc
-	threads    map[int]*Thread
 	threadFns  map[uint64]func(*Thread)
 	nextTid    int
 	exited     bool
@@ -133,7 +132,10 @@ type Process struct {
 	arenas    map[int]*threadArena
 
 	// mutHooks observe successful mutating syscalls (see AddMutationHook).
-	mutHooks []func(MutationEvent)
+	// The slice is copy-on-write: notifyMutations iterates a snapshot
+	// taken under mu, so removal builds a new slice instead of compacting
+	// the shared one.
+	mutHooks []*mutHook
 
 	// pml4Gen is the per-slot generation stamp of the lower-half PML4: any
 	// operation that can change a top-level entry (or what it governs)
@@ -184,13 +186,47 @@ type MutationEvent struct {
 	Path string
 }
 
+// mutHook is one registered mutation observer. Hooks are held by pointer
+// so removal can find its own registration (func values do not compare).
+type mutHook struct {
+	fn func(MutationEvent)
+}
+
 // AddMutationHook registers fn to run after every successful mutating
-// system call, with one event per affected cache axis. Hooks run outside
-// the process lock, on the servicing thread's goroutine.
-func (p *Process) AddMutationHook(fn func(MutationEvent)) {
+// system call, with one event per affected cache axis, and returns the
+// function that unregisters it. Hooks run outside the process lock, on
+// the servicing thread's goroutine, so a call already fanning out when
+// remove returns may still run fn once more. remove is idempotent.
+func (p *Process) AddMutationHook(fn func(MutationEvent)) (remove func()) {
+	h := &mutHook{fn: fn}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.mutHooks = append(p.mutHooks, fn)
+	// Appending writes past every snapshot's length, so it is safe
+	// against concurrent notifyMutations readers.
+	p.mutHooks = append(p.mutHooks, h)
+	return func() { p.removeMutationHook(h) }
+}
+
+// removeMutationHook unregisters h, copy-on-write. The new slice keeps
+// one spare slot, so the next registration appends without regrowing.
+func (p *Process) removeMutationHook(h *mutHook) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, x := range p.mutHooks {
+		if x == h {
+			kept := make([]*mutHook, 0, len(p.mutHooks))
+			kept = append(kept, p.mutHooks[:i]...)
+			p.mutHooks = append(kept, p.mutHooks[i+1:]...)
+			return
+		}
+	}
+}
+
+// MutationHooks returns the number of registered mutation hooks.
+func (p *Process) MutationHooks() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.mutHooks)
 }
 
 // EnableFaultTrace starts recording up to max kernel-handled user page
@@ -286,7 +322,6 @@ func newProcess(k *Kernel, pid int, name string) (*Process, error) {
 		cwd:        "/",
 		sigactions: make(map[linuxabi.Signal]sigaction),
 		handlers:   make(map[uint64]SignalHandlerFunc),
-		threads:    make(map[int]*Thread),
 		nextTid:    1,
 		stats:      Stats{Syscalls: make(map[linuxabi.Sysno]uint64)},
 	}

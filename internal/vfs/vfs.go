@@ -274,10 +274,25 @@ func (f *File) Write(p []byte) (int, error) {
 		f.pos = int64(len(f.node.data))
 	}
 	end := f.pos + int64(len(p))
-	if end > int64(len(f.node.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.node.data)
-		f.node.data = grown
+	if d := f.node.data; end > int64(len(d)) {
+		// Amortized growth: an append-heavy file reallocates only when
+		// it outgrows its capacity, which then gets 1/8 headroom — a
+		// small factor, since the headroom stays resident. Spare
+		// capacity may still hold bytes a truncate cut off, so a reused
+		// gap [len, pos) — the hole a seek past EOF leaves — is zeroed;
+		// [pos, end) is overwritten below.
+		if end <= int64(cap(d)) {
+			old := len(d)
+			d = d[:end]
+			if f.pos > int64(old) {
+				clear(d[old:f.pos])
+			}
+		} else {
+			grown := make([]byte, end, end+end/8)
+			copy(grown, d)
+			d = grown
+		}
+		f.node.data = d
 	}
 	copy(f.node.data[f.pos:], p)
 	f.pos = end

@@ -181,6 +181,32 @@ func TestWriteGrowsSparsely(t *testing.T) {
 	}
 }
 
+// TestTruncatedHoleReadsZero pins the zeroing of reused capacity: after a
+// truncate the file's buffer still holds the old bytes, and a write past
+// EOF must not let them reappear in the hole it leaves.
+func TestTruncatedHoleReadsZero(t *testing.T) {
+	fs := New()
+	_ = fs.WriteFile("/f", []byte("old contents here"))
+	f, err := fs.Open("/f", linuxabi.ORdwr|linuxabi.OTrunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(6, SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 32)
+	n, _ := f.Read(buf)
+	if want := []byte{0, 0, 0, 0, 0, 0, 'n', 'e', 'w'}; !bytes.Equal(buf[:n], want) {
+		t.Errorf("contents = %q, want %q", buf[:n], want)
+	}
+}
+
 func TestRemove(t *testing.T) {
 	fs := New()
 	_ = fs.Mkdir("/d")
